@@ -146,4 +146,9 @@ std::string json_string_field(const std::string& line, const std::string& key) {
   return rumor::jsonl_get_string(line, key, &value) ? value : std::string{};
 }
 
+double json_double_field(const std::string& line, const std::string& key, double fallback) {
+  double value = fallback;
+  return rumor::jsonl_get_double(line, key, &value) ? value : fallback;
+}
+
 }  // namespace perfbench

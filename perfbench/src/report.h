@@ -104,5 +104,6 @@ std::string without_timing_fields(const std::string& summary_line);
 std::int64_t json_int_field(const std::string& line, const std::string& key,
                             std::int64_t fallback = -1);
 std::string json_string_field(const std::string& line, const std::string& key);
+double json_double_field(const std::string& line, const std::string& key, double fallback = -1.0);
 
 }  // namespace perfbench

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -34,17 +35,22 @@ constexpr const char* kBuildInfo = "perfbench";
 struct Family {
   const char* cmd;
   const char* fields;
+  std::int64_t nodes;  // node count of the cell's network
+  double rho;          // the diligent adversary's ρ (Thm 1.2 check); 0 for the others
 };
 constexpr Family kFamilies[] = {
-    {"run", R"("scenario":"edge_markovian","n":2000,"p":0.004,"q":0.2)"},
-    {"bounds", R"("scenario":"diligent_adversary","n":256)"},
-    {"run", R"("scenario":"static_torus","rows":32,"cols":32)"},
-    {"bounds", R"("scenario":"dynamic_star","n":256)"},
+    {"run", R"("scenario":"edge_markovian","n":2000,"p":0.004,"q":0.2)", 2000, 0.0},
+    {"bounds", R"("scenario":"diligent_adversary","n":256,"rho":0.25)", 256, 0.25},
+    {"run", R"("scenario":"static_torus","rows":32,"cols":32)", 1024, 0.0},
+    {"bounds", R"("scenario":"dynamic_star","n":256)", 257, 0.0},
 };
 constexpr int kFamilyCount = 4;
 constexpr int kWarmPerFamily = 2;
 constexpr int kWarmCells = kFamilyCount * kWarmPerFamily;
-constexpr int kHitsPerRound = 12;
+// Hits per client round. The mix is assumed (no recorded use of the server
+// exists); 2000 hits to 5 misses makes hits a measurable share of a round,
+// so requests_per_s moves with the hit path and not only with miss_ms.
+constexpr int kHitsPerRound = 2000;
 constexpr int kCellTrials = 2;
 
 std::uint64_t splitmix(std::uint64_t& state) {
@@ -66,7 +72,8 @@ struct Request {
   std::string line;
   Expect expect = Expect::stats;
   bool fingerprint = false;
-  int warm = -1;  // warmed cell a hit reads
+  int warm = -1;    // warmed cell a hit reads
+  int family = -1;  // index into kFamilies
 };
 
 struct Response {
@@ -155,6 +162,36 @@ struct WarmCell {
   std::string sha;
 };
 
+// The method's properties of every served trial record: a completed spread
+// (informed_count = n, informative_contacts = n − 1) and, on bound-tracking
+// cells, a spread time at most the Theorem 1.1 crossing + 1.
+bool trials_ok(const std::vector<std::string>& body, const Family& family) {
+  const bool bounds = std::string(family.cmd) == "bounds";
+  for (const std::string& line : body) {
+    if (json_string_field(line, "record") != "trial") continue;
+    if (line.find("\"completed\":true") == std::string::npos) return false;
+    if (json_int_field(line, "informed_count") != family.nodes) return false;
+    if (json_int_field(line, "informative_contacts") != family.nodes - 1) return false;
+    if (bounds) {
+      const std::int64_t crossing = json_int_field(line, "theorem11_crossing");
+      if (crossing < 0 || json_double_field(line, "spread_time") >
+                              static_cast<double>(crossing) + 1.0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Adds a body's trial spread times to a running sum (Thm 1.2's mean).
+void add_spread_times(const std::vector<std::string>& body, double& sum, std::int64_t& count) {
+  for (const std::string& line : body) {
+    if (json_string_field(line, "record") != "trial") continue;
+    sum += json_double_field(line, "spread_time");
+    ++count;
+  }
+}
+
 // Checks one response against what the script expects. Stats responses are
 // checked separately (their counts depend on the other client's progress).
 bool check_response(const Request& req, const Response& r, const std::vector<WarmCell>& warm) {
@@ -175,13 +212,17 @@ bool check_response(const Request& req, const Response& r, const std::vector<War
     return true;
   }
   if (body.size() != kCellTrials + 1) return false;
-  if (sha_of_trials(body) != fingerprint) return false;
-  // A hit is byte-identical to the miss that filled its entry.
-  if (hit && body != warm[static_cast<std::size_t>(req.warm)].body) return false;
-  return true;
+  if (hit) {
+    // A hit is byte-identical to the miss that filled its entry, whose body
+    // passed the checks below when it was served; so it passes them too, and
+    // the clients' own work stays a small part of each round.
+    const WarmCell& cell = warm[static_cast<std::size_t>(req.warm)];
+    return fingerprint == cell.sha && body == cell.body;
+  }
+  return sha_of_trials(body) == fingerprint && trials_ok(body, kFamilies[req.family]);
 }
 
-// One client's fixed round: 12 hits, one miss per family plus a fingerprint
+// One client's fixed round: kHitsPerRound hits, one miss per family plus a fingerprint
 // miss, and a stats request, in a seeded order.
 std::vector<Request> round_script(int client, int clients, int round, std::uint64_t run_seed,
                                   std::uint64_t seed_base, std::int64_t& miss_counter,
@@ -196,8 +237,8 @@ std::vector<Request> round_script(int client, int clients, int round, std::uint6
     req.expect = Expect::hit;
     req.warm = static_cast<int>(splitmix(state) % kWarmCells);
     req.line = warm[static_cast<std::size_t>(req.warm)].line;
-    const int family = req.warm / kWarmPerFamily;
-    if (std::string(kFamilies[family].cmd) == "run" && i % 2 == 1) {
+    req.family = req.warm / kWarmPerFamily;
+    if (std::string(kFamilies[req.family].cmd) == "run" && i % 2 == 1) {
       req.fingerprint = true;
       const std::size_t at = req.line.find("\"cmd\":\"run\"");
       req.line.replace(at, 11, "\"cmd\":\"fingerprint\"");
@@ -213,6 +254,7 @@ std::vector<Request> round_script(int client, int clients, int round, std::uint6
     req.expect = Expect::miss;
     req.fingerprint = family == kFamilyCount;
     const int f = req.fingerprint ? 0 : family;
+    req.family = f;
     req.line = request_line(prefix + "m" + std::to_string(family),
                             req.fingerprint ? "fingerprint" : kFamilies[f].cmd, f, fresh_seed());
     script.push_back(req);
@@ -233,15 +275,22 @@ std::vector<Request> round_script(int client, int clients, int round, std::uint6
 }
 
 struct ClientLog {
-  std::vector<double> hit_rtt;
-  std::vector<double> miss_round_mean;  // every round makes the same five misses
-  std::vector<std::pair<double, double>> spans;  // request start/end
+  // Per round: the median hit round trip and the mean miss round trip (every
+  // round makes the same five misses). Per-round figures keep the log's size,
+  // and so the process's peak RSS, independent of the request rate.
+  std::vector<double> hit_round_median;
+  std::vector<double> miss_round_mean;
+  double hit_time = 0.0;                         // sum of hit round trips
+  double miss_time = 0.0;                        // sum of miss round trips
+  std::vector<std::pair<double, double>> spans;  // traced run: request start/end
   std::int64_t requests = 0;
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   std::int64_t failed = 0;
   std::uint64_t bytes = 0;
   std::uint64_t waits_seen = 0;
+  double adversary_spread = 0.0;  // spread times of the diligent adversary's missed cells
+  std::int64_t adversary_trials = 0;
   std::vector<std::pair<std::string, Response>> first_misses;  // round 0, for direct re-runs
   std::string error;
 };
@@ -367,10 +416,11 @@ void ServeMix::State::client_round(int c) {
   Client& client = *clients[static_cast<std::size_t>(c)];
   double miss_sum = 0.0;
   int miss_count = 0;
+  std::vector<double> hit_rtt;
   for (const Request& req : script) {
     const double t0 = now_s();
     Response r = client.ask(req.line);
-    log.spans.emplace_back(t0, now_s());
+    if (options.trace) log.spans.emplace_back(t0, now_s());
     ++log.requests;
     log.bytes += r.bytes;
     bool ok = true;
@@ -382,16 +432,22 @@ void ServeMix::State::client_round(int c) {
       ok = check_response(req, r, warm);
       if (req.expect == Expect::hit) {
         ++log.hits;
-        log.hit_rtt.push_back(r.rtt);
+        log.hit_time += r.rtt;
+        hit_rtt.push_back(r.rtt);
       } else {
         ++log.misses;
+        log.miss_time += r.rtt;
         miss_sum += r.rtt;
         ++miss_count;
+        if (ok && !req.fingerprint && kFamilies[req.family].rho > 0.0) {
+          add_spread_times(body_of(r), log.adversary_spread, log.adversary_trials);
+        }
         if (round == 0) log.first_misses.emplace_back(req.line, std::move(r));
       }
     }
     if (!ok) ++log.failed;
   }
+  log.hit_round_median.push_back(median(hit_rtt));
   log.miss_round_mean.push_back(miss_sum / miss_count);
 }
 
@@ -416,6 +472,7 @@ ServeMix::ServeMix(const ServeMixOptions& options, Report& report)
       Request req;
       req.line = cell.line;
       req.expect = Expect::miss;
+      req.family = static_cast<int>(&cell - st.warm.data()) / kWarmPerFamily;
       report.operation(check_response(req, r, st.warm));
       cell.body = body_of(r);
       cell.sha = json_string_field(r.lines.front(), "fingerprint");
@@ -470,14 +527,17 @@ ServeFigures ServeMix::finish(SpanLog& spans) {
   ServeFigures out;
   out.setup_s = st.setup_s;
 
-  std::vector<double> hit_rtt, miss_rtt;  // miss_rtt: per-round means
+  std::vector<double> hit_rtt, miss_rtt;  // per-round medians and means
+  double hit_time = 0.0, miss_time = 0.0;
   std::int64_t requests = 0, hits = 0, misses = kWarmCells;  // the warm-up filled kWarmCells
   std::uint64_t bytes = 0;
   for (std::size_t c = 0; c < logs.size(); ++c) {
     const ClientLog& log = logs[c];
     report.check(log.error.empty(), "serve: client " + std::to_string(c) + ": " + log.error);
     for (std::int64_t i = 0; i < log.requests; ++i) report.operation(i >= log.failed);
-    hit_rtt.insert(hit_rtt.end(), log.hit_rtt.begin(), log.hit_rtt.end());
+    hit_rtt.insert(hit_rtt.end(), log.hit_round_median.begin(), log.hit_round_median.end());
+    hit_time += log.hit_time;
+    miss_time += log.miss_time;
     miss_rtt.insert(miss_rtt.end(), log.miss_round_mean.begin(), log.miss_round_mean.end());
     requests += log.requests;
     hits += log.hits;
@@ -488,7 +548,18 @@ ServeFigures ServeMix::finish(SpanLog& spans) {
       spans.add("request", -1, static_cast<std::int64_t>(c), s, e);
     }
   }
-  out.hit_ms = 1e3 * median(hit_rtt);
+  const double client_time = st.timed_s * options.clients;
+  std::cerr << "perfbench: serve " << options.clients << " client(s), " << requests
+            << " requests; shares of the clients' time: hits " << hit_time / client_time
+            << ", misses " << miss_time / client_time << ", the rest (stats, checks) "
+            << 1.0 - (hit_time + miss_time) / client_time << "\n";
+  // On a shared virtual machine a hit's cost can flip between two levels
+  // from one fraction of a second to the next (0.013 and 0.021 ms in process
+  // on a 4-vCPU VM), so the per-round medians are averaged: a median over
+  // rounds would jump between the levels with the share of rounds in each.
+  double hit_sum = 0.0;
+  for (const double m : hit_rtt) hit_sum += m;
+  out.hit_ms = 1e3 * hit_sum / static_cast<double>(hit_rtt.size());
   out.miss_ms = 1e3 * median(miss_rtt);
   out.requests_per_s = static_cast<double>(requests) / st.timed_s;
   out.response_bytes = requests > 0 ? static_cast<double>(bytes) / static_cast<double>(requests) : 0.0;
@@ -505,6 +576,28 @@ ServeFigures ServeMix::finish(SpanLog& spans) {
                  "serve: stats verb reports hits/misses " + std::to_string(out.cache_hits) + "/" +
                      std::to_string(out.cache_misses) + ", script made " + std::to_string(hits) +
                      "/" + std::to_string(misses));
+  }
+
+  // Theorem 1.2: the diligent adversary's mean spread time over every cell of
+  // it served (warmed and missed) is at least 0.5·n/(4kΔ).
+  {
+    double sum = 0.0;
+    std::int64_t count = 0;
+    for (std::size_t w = 0; w < warm.size(); ++w) {
+      if (kFamilies[w / kWarmPerFamily].rho > 0.0) add_spread_times(warm[w].body, sum, count);
+    }
+    for (const ClientLog& log : logs) {
+      sum += log.adversary_spread;
+      count += log.adversary_trials;
+    }
+    for (const Family& family : kFamilies) {
+      if (family.rho <= 0.0) continue;
+      const double floor = theorem12_mean_floor(static_cast<double>(family.nodes), family.rho);
+      const double mean = count > 0 ? sum / static_cast<double>(count) : 0.0;
+      report.check(mean >= floor, "serve: diligent_adversary mean spread time " +
+                                      std::to_string(mean) + " below 0.5·n/(4kΔ) = " +
+                                      std::to_string(floor));
+    }
   }
 
   // Direct run_experiment of every warmed cell and of client 0's first-round

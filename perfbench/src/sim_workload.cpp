@@ -53,9 +53,9 @@ SimSpec sim_spec(const std::string& workload) {
     s.setup_reps = 5;
   } else if (workload == "adversary_bounds") {
     s.scenario = "diligent_adversary";
-    s.overrides = {{"n", "4096"}, {"rho", "0.25"}};
+    s.overrides = {{"n", "2048"}, {"rho", "0.25"}};
     s.track_bounds = true;
-    s.trial_set = 4;
+    s.trial_set = 12;
     s.setup_reps = 25;
   } else {
     throw std::invalid_argument("unknown simulation workload '" + workload + "'");
@@ -84,13 +84,6 @@ MarkovianLaw law_of(const SimSpec& spec) {
   law.p = std::stod(spec.overrides.at("p"));
   law.q = std::stod(spec.overrides.at("q"));
   return law;
-}
-
-// The paper's k(n) = round(ln n / ln ln n) (at least 1), computed here apart
-// from the family's own default_layer_count.
-int paper_layer_count(double n) {
-  const double ln_n = std::log(n);
-  return std::max(1, static_cast<int>(std::lround(ln_n / std::log(std::max(std::exp(1.0), ln_n)))));
 }
 
 // Output checks every simulated trial must pass.
@@ -206,9 +199,8 @@ void check_threads(const SimSpec& spec, const RunArgs& args,
 void check_adversary_law(const SimSpec& spec, const std::vector<rumor::SpreadResult>& results,
                          Report& report) {
   if (spec.scenario != "diligent_adversary" || results.empty()) return;
-  const double n = std::stod(spec.overrides.at("n"));
-  const double delta = std::ceil(1.0 / std::stod(spec.overrides.at("rho")));
-  const double bound = 0.5 * n / (4.0 * paper_layer_count(n) * delta);
+  const double bound =
+      theorem12_mean_floor(std::stod(spec.overrides.at("n")), std::stod(spec.overrides.at("rho")));
   double mean = 0.0;
   for (const rumor::SpreadResult& r : results) mean += r.spread_time;
   mean /= static_cast<double>(results.size());
@@ -226,6 +218,15 @@ void check_shadow(const std::string& what, const LayerCounters& counters, Report
 }
 
 }  // namespace
+
+double theorem12_mean_floor(double n, double rho) {
+  // The paper's k(n) = round(ln n / ln ln n) (at least 1), computed here apart
+  // from the family's own default_layer_count.
+  const double ln_n = std::log(n);
+  const int k =
+      std::max(1, static_cast<int>(std::lround(ln_n / std::log(std::max(std::exp(1.0), ln_n)))));
+  return 0.5 * n / (4.0 * k * std::ceil(1.0 / rho));
+}
 
 CellPlan plan_cell(const rumor::ExperimentConfig& config, Shadow shadow, const MarkovianLaw& law) {
   CellPlan plan;

@@ -36,6 +36,10 @@ struct CellPlan {
   double build_s = 0.0;    // make_factory time (a shared snapshot's build)
 };
 
+// Theorem 1.2's floor on the mean spread time of the diligent adversary
+// G(n, rho): 0.5·n/(4kΔ) with k = round(ln n / ln ln n) and Δ = ⌈1/rho⌉.
+double theorem12_mean_floor(double n, double rho);
+
 // Resolves `config` into a plan (scenario resolution + factory build).
 CellPlan plan_cell(const rumor::ExperimentConfig& config, Shadow shadow, const MarkovianLaw& law);
 
@@ -68,7 +72,7 @@ TrialTrace traced_trial(const CellPlan& plan, int trial, rumor::EngineWorkspace&
 // Serve-layer figures of a run (from serve_mix.cpp).
 struct ServeFigures {
   double setup_s = 0.0;          // median daemon start + warm-up
-  double hit_ms = 0.0;           // median client round trip (or in-process call), cache hits
+  double hit_ms = 0.0;           // mean over rounds of a round's median hit round trip
   double miss_ms = 0.0;          // median over rounds of a round's mean miss round trip
   double requests_per_s = 0.0;
   double direct_trial_s = 0.0;   // mean per-trial wall of direct run_experiment re-runs
