@@ -18,7 +18,6 @@
 #include "graph/random_graphs.h"
 #include "graph/topology.h"
 #include "stats/block_rates.h"
-#include "stats/fenwick.h"
 #include "support/bitset.h"
 
 namespace rumor {
@@ -187,20 +186,6 @@ void BM_BlockRatesSampleUpdate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BlockRatesSampleUpdate)->Arg(1024)->Arg(65536);
-
-void BM_FenwickSampleUpdate(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  FenwickTree f(n);
-  Rng rng(3);
-  for (std::size_t i = 0; i < n; ++i) f.set(i, rng.uniform() + 0.01);
-  for (auto _ : state) {
-    const auto i = f.sample(rng.uniform() * f.total());
-    f.set(i, rng.uniform() + 0.01);
-    benchmark::DoNotOptimize(i);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FenwickSampleUpdate)->Arg(1024)->Arg(65536);
 
 void BM_RngUniform(benchmark::State& state) {
   Rng rng(5);

@@ -198,8 +198,6 @@ SpreadResult run_async_jump(DynamicNetwork& net, NodeId source, Rng& rng,
   if (options.bound_tracker != nullptr) {
     result.theorem11_crossing = options.bound_tracker->theorem11_crossing();
     result.theorem13_crossing = options.bound_tracker->theorem13_crossing();
-    result.phi_rho_sum = options.bound_tracker->phi_rho_sum();
-    result.abs_rho_sum = options.bound_tracker->abs_sum();
   }
   return result;
 }
@@ -301,8 +299,6 @@ SpreadResult run_async_tick(DynamicNetwork& net, NodeId source, Rng& rng,
   if (options.bound_tracker != nullptr) {
     result.theorem11_crossing = options.bound_tracker->theorem11_crossing();
     result.theorem13_crossing = options.bound_tracker->theorem13_crossing();
-    result.phi_rho_sum = options.bound_tracker->phi_rho_sum();
-    result.abs_rho_sum = options.bound_tracker->abs_sum();
   }
   return result;
 }

@@ -69,18 +69,11 @@ struct RunnerOptions {
   // Ignored by the flooding baseline, which has no randomized contacts.
   double transmission_failure_prob = 0.0;
 
-  // Retain every trial's full SpreadResult in RunnerReport::per_trial (in
-  // trial order), so drivers can stream per-trial records (JSON lines, CSV)
-  // instead of only aggregates. Off by default: the flags/trace vectors make
-  // a SpreadResult O(n) in memory. Million-node drivers should prefer
-  // trial_sink, which observes the same results chunk by chunk without
-  // retaining them.
-  bool keep_per_trial = false;
-
   // Streaming consumer invoked once per trial, in trial order, as each chunk
-  // of trials completes (on the calling thread). The result reference is
-  // only valid during the call. Composes with keep_per_trial but replaces it
-  // for memory-bounded million-node sweeps.
+  // of trials completes (on the calling thread): the one way to observe
+  // per-trial results (JSON lines, CSV) rather than only aggregates. The
+  // result reference is only valid during the call; no SpreadResult outlives
+  // its chunk, so memory stays O(chunk x n) for million-node sweeps.
   std::function<void(int trial, const SpreadResult& result)> trial_sink;
 
   // Progress observer invoked after every completed chunk (on the calling
@@ -123,13 +116,6 @@ struct RunnerReport {
   SampleSet theorem13_crossing;
   int trials = 0;
   int completed = 0;
-
-  // Full per-trial results in trial order; filled iff
-  // RunnerOptions::keep_per_trial was set. Sharded runs reconstruct these
-  // from the streamed records, which round-trip exactly (support/json.h
-  // prints doubles with round-trip precision) but omit the O(n)
-  // flags/trace vectors.
-  std::vector<SpreadResult> per_trial;
 
   // Largest peak RSS any shard worker reported in its shard_done sentinel,
   // in MiB; 0 for in-process runs. Telemetry, like elapsed time — reported,

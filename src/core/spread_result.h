@@ -36,8 +36,6 @@ struct SpreadResult {
   // attached to the run.
   std::int64_t theorem11_crossing = -1;
   std::int64_t theorem13_crossing = -1;
-  double phi_rho_sum = 0.0;
-  double abs_rho_sum = 0.0;
 };
 
 }  // namespace rumor

@@ -82,8 +82,6 @@ SpreadResult run_sync(DynamicNetwork& net, NodeId source, Rng& rng, const SyncOp
   if (options.bound_tracker != nullptr) {
     result.theorem11_crossing = options.bound_tracker->theorem11_crossing();
     result.theorem13_crossing = options.bound_tracker->theorem13_crossing();
-    result.phi_rho_sum = options.bound_tracker->phi_rho_sum();
-    result.abs_rho_sum = options.bound_tracker->abs_sum();
   }
   return result;
 }

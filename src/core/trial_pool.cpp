@@ -113,8 +113,12 @@ void TrialPool::run(std::int64_t tasks, int workers, std::int64_t chunk,
     for (std::int64_t task = 0; task < tasks; ++task) fn(task, 0);
     return;
   }
-  // Concurrent run() calls from distinct outside threads queue up here.
-  std::lock_guard<std::mutex> run_lock(run_mutex_);
+  // Concurrent multi-worker run() calls from distinct outside threads queue
+  // up here: they share the helpers and the job_ slot. A one-worker run
+  // touches only its stack-local Job and this thread's t_current_pool, so it
+  // proceeds without the lock.
+  std::unique_lock<std::mutex> run_lock(run_mutex_, std::defer_lock);
+  if (workers > 1) run_lock.lock();
 
   Job job;
   job.tasks = tasks;

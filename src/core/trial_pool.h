@@ -51,9 +51,11 @@ class TrialPool {
   // uneven tasks, larger chunks for cheap uniform ones. Worker ids are dense
   // in [0, active workers), so callers can maintain per-worker state arrays.
   // The first exception thrown by fn cancels the remaining tasks and is
-  // rethrown on the calling thread. Concurrent run() calls from different
-  // threads serialize; a nested run() from inside one of this pool's own
-  // jobs executes inline on the caller (identical results, no deadlock).
+  // rethrown on the calling thread. Concurrent multi-worker run() calls from
+  // different threads serialize, while one-worker calls (after clamping to
+  // `tasks`) run on their caller concurrently with any other run(); a nested
+  // run() from inside one of this pool's own jobs executes inline on the
+  // caller (identical results, no deadlock).
   void run(std::int64_t tasks, int workers, std::int64_t chunk,
            const std::function<void(std::int64_t task, int worker)>& fn);
 
@@ -74,7 +76,7 @@ class TrialPool {
   static void work(Job& job, int worker);
 
   std::vector<std::thread> helpers_;
-  std::mutex run_mutex_;  // serializes whole run() calls from outside threads
+  std::mutex run_mutex_;  // serializes multi-worker run() calls from outside threads
   mutable std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;

@@ -111,8 +111,6 @@ RunnerReport ShardedBackend::run(const NetworkFactory& factory,
 
   RunnerReport report;
   report.trials = options.trials;
-  if (options.keep_per_trial)
-    report.per_trial.reserve(static_cast<std::size_t>(options.trials));
 
   std::size_t merge_front = 0;  // shards below this index are fully merged
   int merged = 0;               // trials merged so far (global order)
@@ -149,7 +147,6 @@ RunnerReport ShardedBackend::run(const NetworkFactory& factory,
         if (result.theorem13_crossing >= 0)
           report.theorem13_crossing.add(static_cast<double>(result.theorem13_crossing));
         if (options.trial_sink) options.trial_sink(trial, result);
-        if (options.keep_per_trial) report.per_trial.push_back(std::move(result));
       }
       if (shard.received == shard.range.count && shard.done_seen &&
           shard.reader.eof()) {

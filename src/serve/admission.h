@@ -1,7 +1,7 @@
 // Bounded admission control for the rumor_serve daemon's simulation jobs.
 //
 // The serving loop is thread-per-connection, but simulations contend for one
-// machine's cores (and serialize on the shared TrialPool per chunk), so the
+// machine's cores (threaded jobs queue on the shared TrialPool), so the
 // number allowed to run — and the number allowed to wait for a slot — must
 // both be bounded or a request burst turns into unbounded queueing. The gate
 // implements the classic two-knob policy: up to `max_active` tickets are out

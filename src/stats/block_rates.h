@@ -10,7 +10,7 @@
 // loves. Totals are maintained incrementally; assign() recomputes them
 // exactly, and the engines re-assign at every topology change, which bounds
 // floating-point drift between rebuilds. sample() clamps rounding spill-over
-// to the last positive-rate entry, mirroring FenwickTree::sample.
+// to the last positive-rate entry.
 //
 // Every multi-term resum — per-block, per-superblock, and the total — runs
 // through simd::lane_sum, the hardware tier's lane-blocked summation kernel
@@ -127,8 +127,8 @@ class BlockRates {
 #endif
   }
 
-  // Adds delta to rate i; the result is clamped at zero (absorbing the same
-  // accumulated float error FenwickTree::add tolerates).
+  // Adds delta to rate i; the result is clamped at zero (absorbing
+  // accumulated float error).
   void add(std::size_t i, double delta) {
     DG_ASSERT(i < n_, "rate index out of range");
     const double next = rate_[i] + delta;

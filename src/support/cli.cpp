@@ -1,10 +1,19 @@
 #include "support/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
-
-#include "support/contracts.h"
+#include <stdexcept>
 
 namespace rumor {
+
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const std::string& expected) {
+  throw std::invalid_argument("--" + name + " expects " + expected + ", got '" + value + "'");
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv, bool allow_positionals) {
   program_ = argc > 0 ? argv[0] : "";
@@ -14,7 +23,9 @@ Cli::Cli(int argc, char** argv, bool allow_positionals) {
       positionals_.push_back(arg);
       continue;
     }
-    DG_REQUIRE(arg.rfind("--", 0) == 0, "options must start with --: " + arg);
+    if (arg.rfind("--", 0) != 0) {
+      throw std::invalid_argument("unexpected argument '" + arg + "' (options start with --)");
+    }
     arg = arg.substr(2);
     auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -37,13 +48,23 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) bad_value(name, it->second, "an integer");
+  return static_cast<std::int64_t>(v);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE) bad_value(name, it->second, "a number");
+  return v;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

@@ -1,10 +1,12 @@
 // Minimal command-line option parser for the benches and examples.
 //
-// Options take the form --name=value or --name value. Unknown options raise a
-// precondition failure so typos surface immediately. Every accessor supplies a
-// default, keeping all binaries runnable with no arguments.
+// Options take the form --name=value or --name value. Every accessor supplies
+// a default, keeping all binaries runnable with no arguments. get_int and
+// get_double reject a value that is not wholly a number in range (`3x`,
+// `1e5x`, `1e999`) with a std::invalid_argument naming the flag and value.
 //
-// Bare words are rejected by default; subcommands that take file operands
+// Bare words are rejected by default (std::invalid_argument naming the word);
+// subcommands that take file operands
 // (`rumor_cli replay RECORDED.json`) opt in with allow_positionals, and the
 // collected words come back from positionals() in order. A bare word directly
 // after `--flag` still binds to the flag as its value — put positionals

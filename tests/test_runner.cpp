@@ -216,21 +216,6 @@ TEST(Runner, ParallelWithBoundTracking) {
   EXPECT_EQ(report.theorem13_crossing.count(), 6u);
 }
 
-TEST(Runner, KeepPerTrialRetainsEveryResultInOrder) {
-  RunnerOptions opt;
-  opt.trials = 5;
-  opt.seed = 13;
-  opt.keep_per_trial = true;
-  const auto report = run_trials(clique_factory(16), opt);
-  ASSERT_EQ(report.per_trial.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(report.per_trial[i].completed);
-    EXPECT_DOUBLE_EQ(report.per_trial[i].spread_time, report.spread_time.values()[i]);
-  }
-  opt.keep_per_trial = false;
-  EXPECT_TRUE(run_trials(clique_factory(16), opt).per_trial.empty());
-}
-
 TEST(Runner, FailureProbPassesThroughToEngines) {
   RunnerOptions opt;
   opt.trials = 10;
@@ -260,18 +245,19 @@ TEST(Runner, TrialSinkStreamsInTrialOrder) {
   opt.seed = 21;
   opt.threads = 4;
   opt.chunk_trials = 2;  // force several chunks
-  opt.keep_per_trial = true;
   std::vector<int> order;
-  std::vector<double> times;
+  std::vector<SpreadResult> results;
   opt.trial_sink = [&](int trial, const SpreadResult& r) {
     order.push_back(trial);
-    times.push_back(r.spread_time);
+    results.push_back(r);
   };
   const auto report = run_trials(clique_factory(16), opt);
   ASSERT_EQ(order.size(), 9u);
-  for (int i = 0; i < 9; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  ASSERT_EQ(report.spread_time.count(), 9u);
   for (std::size_t i = 0; i < 9; ++i) {
-    EXPECT_DOUBLE_EQ(times[i], report.per_trial[i].spread_time);
+    EXPECT_EQ(order[i], static_cast<int>(i));
+    EXPECT_TRUE(results[i].completed);
+    EXPECT_DOUBLE_EQ(results[i].spread_time, report.spread_time.values()[i]);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 
+#include "collect_trials.h"
 #include "scenarios/experiment.h"
 #include "scenarios/registry.h"
 
@@ -159,12 +160,12 @@ TEST(Experiment, PerTrialRecordsMatchAggregates) {
   config.param_overrides = {{"n", "32"}};
   config.runner.trials = 6;
   config.runner.seed = 11;
-  config.runner.keep_per_trial = true;
+  std::vector<SpreadResult> trials;
+  collect_trials(config.runner, &trials);
   const ExperimentResult result = run_experiment(config);
-  ASSERT_EQ(result.report.per_trial.size(), 6u);
+  ASSERT_EQ(trials.size(), 6u);
   std::size_t completed = 0;
-  for (std::size_t i = 0; i < result.report.per_trial.size(); ++i) {
-    const SpreadResult& t = result.report.per_trial[i];
+  for (const SpreadResult& t : trials) {
     if (!t.completed) continue;
     EXPECT_DOUBLE_EQ(t.spread_time, result.report.spread_time.values()[completed]);
     ++completed;
@@ -178,13 +179,19 @@ TEST(Experiment, JsonOutputIsDeterministicPerTrial) {
   config.param_overrides = {{"n", "32"}};
   config.runner.trials = 3;
   config.runner.seed = 5;
-  config.runner.keep_per_trial = true;
 
   // Trial records (everything before the summary, whose elapsed-seconds field
   // is wall clock) must be byte-identical across repeated runs.
+  const auto record_json = [&config](std::ostream& os) {
+    const ExperimentResult result =
+        run_experiment(config, [&os](const ExperimentResult& r, int trial, const SpreadResult& t) {
+          emit_trial_json(os, r, trial, t);
+        });
+    emit_summary_json(os, result, "test-build");
+  };
   std::ostringstream a, b;
-  emit_json(a, run_experiment(config), "test-build");
-  emit_json(b, run_experiment(config), "test-build");
+  record_json(a);
+  record_json(b);
   const std::string sa = a.str(), sb = b.str();
   EXPECT_EQ(sa.substr(0, sa.rfind("{\"record\":\"summary\"")),
             sb.substr(0, sb.rfind("{\"record\":\"summary\"")));
@@ -209,11 +216,11 @@ TEST(Experiment, CsvEmitsOneRowPerTrial) {
   config.scenario = "static_cycle";
   config.param_overrides = {{"n", "16"}};
   config.runner.trials = 4;
-  config.runner.keep_per_trial = true;
-  const ExperimentResult result = run_experiment(config);
   std::ostringstream os;
   emit_csv_header(os);
-  emit_csv(os, result);
+  run_experiment(config, [&os](const ExperimentResult& r, int trial, const SpreadResult& t) {
+    emit_trial_csv(os, r, trial, t);
+  });
   std::size_t lines = 0;
   for (char c : os.str()) lines += c == '\n' ? 1u : 0u;
   EXPECT_EQ(lines, 5u);  // header + 4 trials

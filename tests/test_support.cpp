@@ -76,7 +76,45 @@ TEST(Cli, ParsesEqualsAndSpaceForms) {
 
 TEST(Cli, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
-  EXPECT_THROW(Cli(2, const_cast<char**>(argv)), std::invalid_argument);
+  try {
+    Cli(2, const_cast<char**>(argv));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'oops'"), std::string::npos) << message;
+    EXPECT_EQ(message.find("cli.cpp"), std::string::npos) << message;  // no source location
+  }
+}
+
+// Malformed numbers fail by name rather than parsing a prefix ("3x" as 3).
+TEST(Cli, RejectsMalformedNumbersByName) {
+  const auto expect_rejected = [](const std::string& value, bool integer) {
+    const std::string arg = "--trials=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Cli cli(2, const_cast<char**>(argv));
+    try {
+      if (integer) {
+        cli.get_int("trials", 0);
+      } else {
+        cli.get_double("trials", 0.0);
+      }
+      ADD_FAILURE() << "accepted " << arg;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("--trials"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + value + "'"), std::string::npos) << message;
+    }
+  };
+  for (const char* value : {"3x", "", "abc", "2.5e-3", "99999999999999999999"}) {
+    expect_rejected(value, /*integer=*/true);
+  }
+  for (const char* value : {"1e5x", "", "abc", "1e999"}) {
+    expect_rejected(value, /*integer=*/false);
+  }
+  const char* argv[] = {"prog", "--n=-4", "--rate=2.5e-3"};
+  const Cli cli(3, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("n", 0), -4);
+  EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 2.5e-3);
 }
 
 TEST(Json, NumberRoundTripsAndHandlesSpecials) {

@@ -2,13 +2,16 @@
 // contract: SpreadResult streams are bit-identical for any thread count.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "collect_trials.h"
 #include "core/runner.h"
 #include "core/trial_pool.h"
 #include "scenarios/experiment.h"
@@ -114,6 +117,32 @@ TEST(TrialPool, ConcurrentOutsideCallersSerialize) {
   EXPECT_EQ(count.load(), 3 * 20);
 }
 
+// One-worker runs share no pool state, so outside callers run them at the
+// same time (a serve job per connection does exactly this on the shared
+// pool): each task waits up to 5 s for the other caller's task to start.
+// Serialized runs would leave the first task's wait timing out.
+TEST(TrialPool, SingleWorkerOutsideCallersRunConcurrently) {
+  TrialPool pool;
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::array<bool, 2> overlapped{};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c]() {
+      pool.run(1, 1, 1, [&](std::int64_t, int) {
+        std::unique_lock<std::mutex> lock(mu);
+        ++started;
+        cv.notify_all();
+        overlapped[c] = cv.wait_for(lock, std::chrono::seconds(5), [&]() { return started == 2; });
+      });
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_TRUE(overlapped[0]);
+  EXPECT_TRUE(overlapped[1]);
+}
+
 // --- Bit-identical SpreadResult streams across thread counts ----------------
 
 void expect_results_identical(const SpreadResult& a, const SpreadResult& b) {
@@ -139,19 +168,22 @@ void check_scenario_determinism(const std::string& scenario,
   config.runner.engine = engine;
   config.runner.trials = 6;
   config.runner.seed = 20260726;
-  config.runner.keep_per_trial = true;
   config.runner.threads = 1;
-  const ExperimentResult base = run_experiment(config);
-  ASSERT_EQ(base.report.per_trial.size(), 6u) << scenario;
+  std::vector<SpreadResult> base;
+  collect_trials(config.runner, &base);
+  run_experiment(config);
+  ASSERT_EQ(base.size(), 6u) << scenario;
 
   for (int threads : {2, 8}) {
     config.runner.threads = threads;
-    const ExperimentResult other = run_experiment(config);
-    ASSERT_EQ(other.report.per_trial.size(), 6u) << scenario << " threads=" << threads;
+    std::vector<SpreadResult> other;
+    collect_trials(config.runner, &other);
+    run_experiment(config);
+    ASSERT_EQ(other.size(), 6u) << scenario << " threads=" << threads;
     for (std::size_t i = 0; i < 6; ++i) {
       SCOPED_TRACE(scenario + " threads=" + std::to_string(threads) + " trial " +
                    std::to_string(i));
-      expect_results_identical(base.report.per_trial[i], other.report.per_trial[i]);
+      expect_results_identical(base[i], other[i]);
     }
   }
 }
@@ -201,18 +233,21 @@ TEST(TrialPoolDeterminism, ParallelRebuildsMatchSerial) {
   config.param_overrides = {{"n", "20000"}, {"d", "4"}, {"p", "0.5"}};
   config.runner.trials = 2;
   config.runner.seed = 5;
-  config.runner.keep_per_trial = true;
   config.runner.threads = 1;
-  const ExperimentResult serial = run_experiment(config);
-  ASSERT_EQ(serial.report.per_trial.size(), 2u);
-  ASSERT_GT(serial.report.per_trial[0].graph_changes, 0);  // rebuilds actually ran
+  std::vector<SpreadResult> serial;
+  collect_trials(config.runner, &serial);
+  run_experiment(config);
+  ASSERT_EQ(serial.size(), 2u);
+  ASSERT_GT(serial[0].graph_changes, 0);  // rebuilds actually ran
 
   config.runner.threads = 8;  // 2 trial workers x 4 rebuild threads
-  const ExperimentResult parallel = run_experiment(config);
-  ASSERT_EQ(parallel.report.per_trial.size(), 2u);
+  std::vector<SpreadResult> parallel;
+  collect_trials(config.runner, &parallel);
+  run_experiment(config);
+  ASSERT_EQ(parallel.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     SCOPED_TRACE("trial " + std::to_string(i));
-    expect_results_identical(serial.report.per_trial[i], parallel.report.per_trial[i]);
+    expect_results_identical(serial[i], parallel[i]);
   }
 }
 
