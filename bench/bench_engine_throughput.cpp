@@ -194,15 +194,24 @@ void BM_RngUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniform);
 
+// Args: {n, d}. n = 1536, d = 4 is the B-side expander of the diligent
+// adversary at n = 2048; d = 32 checks that the repair's O(d) stub-slot
+// scans stay cheap at larger degrees.
 void BM_RandomRegularBuild(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
+  const auto d = static_cast<NodeId>(state.range(1));
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
-    benchmark::DoNotOptimize(random_regular(rng, n, 4).edge_count());
+    benchmark::DoNotOptimize(random_regular(rng, n, d).edge_count());
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * d / 2);
 }
-BENCHMARK(BM_RandomRegularBuild)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_RandomRegularBuild)
+    ->Args({1024, 4})
+    ->Args({1536, 4})
+    ->Args({8192, 4})
+    ->Args({1536, 32});
 
 }  // namespace
 }  // namespace rumor

@@ -218,7 +218,7 @@ if [[ "$MATRIX" != scale* && "$MATRIX" != shard ]]; then
     [ -x "$BUILD_DIR/bench/$bench" ] || continue
     case "$bench" in
       bench_engine_throughput)
-        filter='JumpEngine|TickEngine|SyncEngine|BlockRates|Topology|EdgeMarkovianStep' ;;
+        filter='JumpEngine|TickEngine|SyncEngine|BlockRates|Topology|EdgeMarkovianStep|RandomRegular' ;;
       # Every hardware-tier kernel, simd and ref legs both, so the trend
       # table tracks the speedup pair per cell (scripts/bench_trend.py).
       bench_simd_kernels)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -18,13 +17,71 @@ using Pair = std::pair<NodeId, NodeId>;
 
 Pair normalize(NodeId a, NodeId b) { return a < b ? Pair{a, b} : Pair{b, a}; }
 
+// The configuration model's current pairing as per-node stub-partner slots:
+// node x owns slots [x*d, x*d + d), each holding the partner of one of x's
+// stubs (kFree while that stub is detached mid-swap). A pair {x, y} fills one
+// slot of x with y and one of y with x; a self-loop {x, x} fills two of x's
+// slots with x. So for x != y the multiplicity of {x, y} is the number of x's
+// slots holding y — an O(d) scan, with no tree and no per-pair allocation.
+class StubSlots {
+ public:
+  // Fills every slot from the initial pairing in O(n*d): each node has
+  // exactly d stubs, so its slots are written in order with no free-slot scan.
+  StubSlots(NodeId n, NodeId d, const std::vector<Pair>& pairs)
+      : d_(static_cast<std::size_t>(d)), slots_(static_cast<std::size_t>(n) * d_, kFree) {
+    std::vector<std::size_t> next(static_cast<std::size_t>(n));
+    for (std::size_t x = 0; x < next.size(); ++x) next[x] = x * d_;
+    for (const Pair& p : pairs) {
+      slots_[next[static_cast<std::size_t>(p.first)]++] = p.second;
+      slots_[next[static_cast<std::size_t>(p.second)]++] = p.first;
+    }
+  }
+
+  // Multiplicity of the pair p = {x, y}, x != y, in the current pairing.
+  std::size_t count(const Pair& p) const {
+    const auto row = slots_.begin() + static_cast<std::ptrdiff_t>(base(p.first));
+    return static_cast<std::size_t>(
+        std::count(row, row + static_cast<std::ptrdiff_t>(d_), p.second));
+  }
+
+  void insert(const Pair& p) {
+    fill(p.first, kFree, p.second);
+    fill(p.second, kFree, p.first);
+  }
+
+  void erase(const Pair& p) {
+    fill(p.first, p.second, kFree);
+    fill(p.second, p.first, kFree);
+  }
+
+ private:
+  static constexpr NodeId kFree = -1;
+
+  std::size_t base(NodeId x) const { return static_cast<std::size_t>(x) * d_; }
+
+  // Overwrites the first of x's slots holding `from` with `to`.
+  void fill(NodeId x, NodeId from, NodeId to) {
+    const std::size_t b = base(x);
+    for (std::size_t s = b; s < b + d_; ++s) {
+      if (slots_[s] == from) {
+        slots_[s] = to;
+        return;
+      }
+    }
+    DG_ASSERT(false, "stub slot bookkeeping out of sync with the pairing");
+  }
+
+  std::size_t d_;
+  std::vector<NodeId> slots_;
+};
+
 }  // namespace
 
-Graph random_regular(Rng& rng, NodeId n, NodeId d) {
+std::vector<Edge> random_regular_edges(Rng& rng, NodeId n, NodeId d) {
   DG_REQUIRE(n >= 1, "need at least one node");
   DG_REQUIRE(d >= 0 && d < n, "degree must lie in [0, n-1]");
   DG_REQUIRE((static_cast<std::int64_t>(n) * d) % 2 == 0, "n*d must be even");
-  if (d == 0) return Graph(n, {});
+  if (d == 0) return {};
 
   // Configuration model: d stubs per node, paired by a random shuffle.
   std::vector<NodeId> stubs;
@@ -42,7 +99,7 @@ Graph random_regular(Rng& rng, NodeId n, NodeId d) {
   // Repair pass: while some pair is a self-loop or a duplicate, swap it with a
   // uniformly random other pair (double edge swap). This keeps every node's
   // degree at exactly d and terminates quickly for d = O(1) or d = O(sqrt n).
-  std::multiset<Pair> occupied(pairs.begin(), pairs.end());
+  StubSlots occupied(n, d, pairs);
   auto is_bad = [&occupied](const Pair& p) {
     return p.first == p.second || occupied.count(p) > 1;
   };
@@ -56,8 +113,8 @@ Graph random_regular(Rng& rng, NodeId n, NodeId d) {
       if (j == i) continue;
       // Swap one endpoint between pairs i and j.
       Pair a = pairs[i], b = pairs[j];
-      occupied.erase(occupied.find(a));
-      occupied.erase(occupied.find(b));
+      occupied.erase(a);
+      occupied.erase(b);
       Pair na = normalize(a.first, b.second);
       Pair nb = normalize(b.first, a.second);
       // Only commit swaps that do not create new violations at j.
@@ -74,10 +131,19 @@ Graph random_regular(Rng& rng, NodeId n, NodeId d) {
 
   std::vector<Edge> edges;
   edges.reserve(pairs.size());
-  for (const auto& p : pairs) edges.push_back({p.first, p.second});
-  Graph g(n, std::move(edges));
-  DG_ENSURE(g.min_degree() == d && g.max_degree() == d, "configuration model not d-regular");
-  return g;
+  std::vector<NodeId> degree(static_cast<std::size_t>(n), 0);
+  for (const auto& p : pairs) {
+    edges.push_back({p.first, p.second});
+    ++degree[static_cast<std::size_t>(p.first)];
+    ++degree[static_cast<std::size_t>(p.second)];
+  }
+  DG_ENSURE(std::all_of(degree.begin(), degree.end(), [d](NodeId k) { return k == d; }),
+            "configuration model not d-regular");
+  return edges;
+}
+
+Graph random_regular(Rng& rng, NodeId n, NodeId d) {
+  return Graph(n, random_regular_edges(rng, n, d));
 }
 
 Graph erdos_renyi(Rng& rng, NodeId n, double p) {

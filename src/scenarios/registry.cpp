@@ -1,6 +1,7 @@
 #include "scenarios/registry.h"
 
 #include <memory>
+#include <stdexcept>
 
 #include "dynamic/absolute_adversary.h"
 #include "dynamic/clique_bridge.h"
@@ -331,7 +332,8 @@ const ScenarioSpec& require_scenario(const std::string& name) {
       if (!catalog.empty()) catalog += ", ";
       catalog += s.name;
     }
-    DG_REQUIRE(false, "unknown scenario '" + name + "' (known: " + catalog + ")");
+    throw std::invalid_argument("unknown scenario '" + name + "' (known: " + catalog +
+                                "); see: rumor_cli describe --scenario NAME");
   }
   return *spec;
 }

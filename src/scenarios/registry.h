@@ -17,8 +17,9 @@ const std::vector<ScenarioSpec>& scenario_registry();
 // Lookup by name; nullptr when absent.
 const ScenarioSpec* find_scenario(const std::string& name);
 
-// Lookup that throws std::invalid_argument (with the catalog of valid names)
-// when absent — the driver-facing variant.
+// Lookup that throws a plain std::invalid_argument (with the catalog of valid
+// names and a `rumor_cli describe` hint) when absent — the driver-facing
+// variant.
 const ScenarioSpec& require_scenario(const std::string& name);
 
 }  // namespace rumor

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 
+#include "support/cli.h"
 #include "support/contracts.h"
 #include "support/json.h"
 
@@ -41,23 +44,31 @@ const ParamSpec* ScenarioSpec::find_param(const std::string& param_name) const {
 
 namespace {
 
-double parse_override(const ParamSpec& spec, const std::string& text) {
-  switch (spec.kind) {
+// A bad override is a user input error, not a broken invariant: it throws a
+// plain std::invalid_argument (no source location) that points at the schema.
+[[noreturn]] void bad_override(const ScenarioSpec& spec, const std::string& message) {
+  throw std::invalid_argument(message + "; see: rumor_cli describe --scenario " + spec.name);
+}
+
+double parse_override(const ScenarioSpec& spec, const ParamSpec& param, const std::string& text) {
+  switch (param.kind) {
     case ParamKind::flag: {
-      if (text == "true" || text == "1" || text == "yes") return 1.0;
-      if (text == "false" || text == "0" || text == "no") return 0.0;
-      DG_REQUIRE(false, "parameter '" + spec.name + "' expects a flag, got '" + text + "'");
-      return 0.0;
+      const std::optional<bool> flag = parse_bool_word(text);
+      if (!flag) {
+        bad_override(spec, "parameter '" + param.name + "' expects a flag, got '" + text + "'");
+      }
+      return *flag ? 1.0 : 0.0;
     }
     case ParamKind::integer:
     case ParamKind::real: {
       char* end = nullptr;
       const double v = std::strtod(text.c_str(), &end);
-      DG_REQUIRE(end != text.c_str() && *end == '\0' && std::isfinite(v),
-                 "parameter '" + spec.name + "' expects a number, got '" + text + "'");
-      if (spec.kind == ParamKind::integer) {
-        DG_REQUIRE(v == std::floor(v),
-                   "parameter '" + spec.name + "' expects an integer, got '" + text + "'");
+      if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
+        bad_override(spec, "parameter '" + param.name + "' expects a number, got '" + text + "'");
+      }
+      if (param.kind == ParamKind::integer && v != std::floor(v)) {
+        bad_override(spec,
+                     "parameter '" + param.name + "' expects an integer, got '" + text + "'");
       }
       return v;
     }
@@ -71,8 +82,9 @@ ScenarioParams ScenarioParams::resolve(const ScenarioSpec& spec,
                                        const std::map<std::string, std::string>& overrides) {
   for (const auto& [name, text] : overrides) {
     (void)text;
-    DG_REQUIRE(spec.find_param(name) != nullptr,
-               "scenario '" + spec.name + "' has no parameter '" + name + "'");
+    if (spec.find_param(name) == nullptr) {
+      bad_override(spec, "scenario '" + spec.name + "' has no parameter '" + name + "'");
+    }
   }
 
   ScenarioParams out;
@@ -80,11 +92,12 @@ ScenarioParams ScenarioParams::resolve(const ScenarioSpec& spec,
     double v = p.fallback;
     auto it = overrides.find(p.name);
     if (it != overrides.end()) {
-      v = parse_override(p, it->second);
-      DG_REQUIRE(v >= p.min_value && v <= p.max_value,
-                 "parameter '" + p.name + "' = " + it->second + " is outside [" +
-                     format_param_value(p.kind, p.min_value) + ", " +
-                     format_param_value(p.kind, p.max_value) + "]");
+      v = parse_override(spec, p, it->second);
+      if (v < p.min_value || v > p.max_value) {
+        bad_override(spec, "parameter '" + p.name + "' = " + it->second + " is outside [" +
+                               format_param_value(p.kind, p.min_value) + ", " +
+                               format_param_value(p.kind, p.max_value) + "]");
+      }
     }
     out.values_[p.name] = v;
     out.items_.emplace_back(p.name, format_param_value(p.kind, v));

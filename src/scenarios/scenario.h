@@ -41,7 +41,8 @@ struct ScenarioSpec;
 
 // Resolved parameter values for one scenario: schema defaults overlaid with
 // caller overrides, validated (unknown names, type mismatches, and range
-// violations all throw std::invalid_argument via DG_REQUIRE).
+// violations all throw a plain std::invalid_argument whose message ends in
+// "; see: rumor_cli describe --scenario NAME").
 class ScenarioParams {
  public:
   static ScenarioParams resolve(const ScenarioSpec& spec,

@@ -15,6 +15,12 @@ namespace {
 
 }  // namespace
 
+std::optional<bool> parse_bool_word(const std::string& text) {
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  return std::nullopt;
+}
+
 Cli::Cli(int argc, char** argv, bool allow_positionals) {
   program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
@@ -70,7 +76,9 @@ double Cli::get_double(const std::string& name, double fallback) const {
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::optional<bool> v = parse_bool_word(it->second);
+  if (!v) bad_value(name, it->second, "true/false, 1/0 or yes/no");
+  return *v;
 }
 
 }  // namespace rumor

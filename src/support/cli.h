@@ -3,7 +3,8 @@
 // Options take the form --name=value or --name value. Every accessor supplies
 // a default, keeping all binaries runnable with no arguments. get_int and
 // get_double reject a value that is not wholly a number in range (`3x`,
-// `1e5x`, `1e999`) with a std::invalid_argument naming the flag and value.
+// `1e5x`, `1e999`), and get_bool one outside true/false, 1/0, yes/no
+// (`--json=ture`), with a std::invalid_argument naming the flag and value.
 //
 // Bare words are rejected by default (std::invalid_argument naming the word);
 // subcommands that take file operands
@@ -15,10 +16,15 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace rumor {
+
+// The boolean spellings every command-line surface accepts: true/false,
+// 1/0, yes/no; nullopt for anything else.
+std::optional<bool> parse_bool_word(const std::string& text);
 
 class Cli {
  public:

@@ -1,12 +1,76 @@
 // Unit tests for the random graph generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/connectivity.h"
+#include "graph/hk_graph.h"
 #include "graph/random_graphs.h"
 #include "stats/summary.h"
 
 namespace rumor {
 namespace {
+
+using Pair = std::pair<NodeId, NodeId>;
+
+Pair normalized(NodeId a, NodeId b) { return a < b ? Pair{a, b} : Pair{b, a}; }
+
+// The textbook configuration-model repair over a std::multiset of pairs: the
+// reference the flat stub-slot repair must match pair for pair and draw for
+// draw.
+std::vector<Pair> multiset_regular_pairs(Rng& rng, NodeId n, NodeId d) {
+  if (d == 0) return {};
+  std::vector<NodeId> stubs;
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId j = 0; j < d; ++j) stubs.push_back(u);
+  std::shuffle(stubs.begin(), stubs.end(), rng);
+  std::vector<Pair> pairs;
+  for (std::size_t i = 0; i + 1 < stubs.size(); i += 2)
+    pairs.push_back(normalized(stubs[i], stubs[i + 1]));
+
+  std::multiset<Pair> occupied(pairs.begin(), pairs.end());
+  auto is_bad = [&occupied](const Pair& p) {
+    return p.first == p.second || occupied.count(p) > 1;
+  };
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    while (is_bad(pairs[i])) {
+      const std::size_t j = static_cast<std::size_t>(rng.below(pairs.size()));
+      if (j == i) continue;
+      const Pair a = pairs[i], b = pairs[j];
+      occupied.erase(occupied.find(a));
+      occupied.erase(occupied.find(b));
+      const Pair na = normalized(a.first, b.second);
+      const Pair nb = normalized(b.first, a.second);
+      const bool na_ok = na.first != na.second && occupied.count(na) == 0;
+      const bool nb_ok = nb.first != nb.second && occupied.count(nb) == 0 && !(nb == na);
+      if (na_ok && nb_ok) {
+        pairs[i] = na;
+        pairs[j] = nb;
+      }
+      occupied.insert(pairs[i]);
+      occupied.insert(pairs[j]);
+    }
+  }
+  return pairs;
+}
+
+std::vector<Pair> as_sorted_pairs(const std::vector<Edge>& edges) {
+  std::vector<Pair> out;
+  out.reserve(edges.size());
+  for (const Edge& e : edges) out.push_back(normalized(e.u, e.v));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<NodeId> iota_nodes(NodeId lo, NodeId hi) {
+  std::vector<NodeId> v(static_cast<std::size_t>(hi - lo));
+  std::iota(v.begin(), v.end(), lo);
+  return v;
+}
 
 class RandomRegular : public ::testing::TestWithParam<std::tuple<NodeId, NodeId, std::uint64_t>> {
 };
@@ -56,6 +120,61 @@ TEST(RandomRegular, FourRegularIsUsuallyConnected) {
     if (is_connected(random_regular(rng, 100, 4))) ++connected;
   }
   EXPECT_GE(connected, 19);
+}
+
+TEST(RandomRegular, FlatRepairMatchesMultisetReference) {
+  const std::vector<std::pair<NodeId, NodeId>> sizes = {{10, 4},  {12, 5},   {20, 9},
+                                                        {64, 8},  {256, 16}, {1536, 4}};
+  for (const auto& [n, d] : sizes) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      Rng flat(seed), reference(seed);
+      std::vector<Pair> want = multiset_regular_pairs(reference, n, d);
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(as_sorted_pairs(random_regular_edges(flat, n, d)), want)
+          << "n=" << n << " d=" << d << " seed=" << seed;
+      // Same number of draws: the streams stay in lockstep afterwards.
+      ASSERT_EQ(flat.next(), reference.next()) << "n=" << n << " d=" << d << " seed=" << seed;
+    }
+  }
+}
+
+TEST(HkGraph, EdgeListExpandersMatchPerExpanderGraphPath) {
+  // The construction as it read when each expander was a full Graph whose
+  // sorted edges were then relabelled: same layout, same draws, same graph.
+  const NodeId n = 400, a_count = 100, delta = 6;
+  const int k = 3;
+  const std::vector<NodeId> a_side = iota_nodes(0, a_count), b_side = iota_nodes(a_count, n);
+  Rng rng(2024), reference(2024);
+  const HkGraph h = build_hk_graph(rng, n, a_side, b_side, k, delta);
+
+  std::vector<Edge> edges;
+  for (int i = 0; i < k; ++i)
+    for (NodeId u : h.clusters[static_cast<std::size_t>(i)])
+      for (NodeId v : h.clusters[static_cast<std::size_t>(i) + 1]) edges.push_back({u, v});
+  for (const std::vector<NodeId>* members : {&h.expander_a, &h.expander_b}) {
+    const auto m = static_cast<NodeId>(members->size());
+    std::vector<Edge> local;
+    for (const Pair& p : multiset_regular_pairs(reference, m, 4))
+      local.push_back({p.first, p.second});
+    const Graph expander(m, std::move(local));
+    for (const Edge& e : expander.edges())
+      edges.push_back({(*members)[static_cast<std::size_t>(e.u)],
+                       (*members)[static_cast<std::size_t>(e.v)]});
+  }
+  auto attach = [&edges](const std::vector<NodeId>& cluster, const std::vector<NodeId>& target) {
+    std::size_t cursor = 0;
+    for (NodeId u : cluster)
+      for (NodeId j = 0; j < delta; ++j) {
+        edges.push_back({u, target[cursor]});
+        cursor = (cursor + 1) % target.size();
+      }
+  };
+  attach(h.clusters.front(), h.expander_a);
+  attach(h.clusters.back(), h.expander_b);
+
+  const Graph want(n, std::move(edges));
+  EXPECT_EQ(h.graph.edges(), want.edges());
+  EXPECT_EQ(rng.next(), reference.next());
 }
 
 TEST(RandomConnectedRegular, AlwaysConnected) {

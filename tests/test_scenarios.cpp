@@ -50,13 +50,31 @@ TEST(Registry, NamesUniqueAndWellFormed) {
   }
 }
 
+// The message of a std::invalid_argument thrown by `call`, or "" if none.
+// Bad names and values are user errors: the messages pinned below name the
+// culprit and point at the schema, with no contract-failure source location.
+template <typename Call>
+std::string invalid_argument_message(Call&& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Registry, LookupFindsEveryEntryAndRejectsUnknown) {
   for (const ScenarioSpec& s : scenario_registry()) {
     EXPECT_EQ(find_scenario(s.name), &s);
     EXPECT_EQ(&require_scenario(s.name), &s);
   }
   EXPECT_EQ(find_scenario("no_such_scenario"), nullptr);
-  EXPECT_THROW(require_scenario("no_such_scenario"), std::invalid_argument);
+  const std::string unknown =
+      invalid_argument_message([] { require_scenario("no_such_scenario"); });
+  EXPECT_EQ(unknown.rfind("unknown scenario 'no_such_scenario' (known: ", 0), 0u) << unknown;
+  EXPECT_NE(unknown.find("static_torus"), std::string::npos) << unknown;
+  EXPECT_NE(unknown.find("); see: rumor_cli describe --scenario NAME"), std::string::npos)
+      << unknown;
 }
 
 // The acceptance bar for the registry: every entry constructs a network and
@@ -101,12 +119,16 @@ TEST(ScenarioParams, DefaultsAndOverrides) {
 
 TEST(ScenarioParams, ValidationRejectsBadInput) {
   const ScenarioSpec& spec = require_scenario("edge_markovian");
-  EXPECT_THROW(ScenarioParams::resolve(spec, {{"bogus", "1"}}), std::invalid_argument);
-  EXPECT_THROW(ScenarioParams::resolve(spec, {{"p", "1.5"}}), std::invalid_argument);   // range
-  EXPECT_THROW(ScenarioParams::resolve(spec, {{"n", "12.5"}}), std::invalid_argument);  // int
-  EXPECT_THROW(ScenarioParams::resolve(spec, {{"n", "abc"}}), std::invalid_argument);   // number
-  EXPECT_THROW(ScenarioParams::resolve(spec, {{"start_empty", "maybe"}}),
-               std::invalid_argument);  // flag
+  const auto message = [&spec](const std::string& name, const std::string& value) {
+    return invalid_argument_message([&] { ScenarioParams::resolve(spec, {{name, value}}); });
+  };
+  const std::string hint = "; see: rumor_cli describe --scenario edge_markovian";
+  EXPECT_EQ(message("bogus", "1"), "scenario 'edge_markovian' has no parameter 'bogus'" + hint);
+  EXPECT_EQ(message("p", "1.5"), "parameter 'p' = 1.5 is outside [0, 1]" + hint);
+  EXPECT_EQ(message("n", "12.5"), "parameter 'n' expects an integer, got '12.5'" + hint);
+  EXPECT_EQ(message("n", "abc"), "parameter 'n' expects a number, got 'abc'" + hint);
+  EXPECT_EQ(message("start_empty", "maybe"),
+            "parameter 'start_empty' expects a flag, got 'maybe'" + hint);
   const ScenarioParams flags = ScenarioParams::resolve(spec, {{"start_empty", "true"}});
   EXPECT_TRUE(flags.flag("start_empty"));
 }

@@ -117,6 +117,31 @@ TEST(Cli, RejectsMalformedNumbersByName) {
   EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 2.5e-3);
 }
 
+// A misspelt boolean fails by name instead of silently reading as false.
+TEST(Cli, BoolAcceptsSpelledValuesAndRejectsTheRest) {
+  const char* argv[] = {"prog", "--a=true", "--b=1", "--c=yes", "--d=false", "--e=0", "--f=no",
+                        "--g"};
+  const Cli cli(8, const_cast<char**>(argv));
+  for (const char* name : {"a", "b", "c", "g"}) EXPECT_TRUE(cli.get_bool(name, false)) << name;
+  for (const char* name : {"d", "e", "f"}) EXPECT_FALSE(cli.get_bool(name, true)) << name;
+  EXPECT_TRUE(cli.get_bool("absent", true));
+
+  for (const char* value : {"ture", "", "TRUE", "2", "off"}) {
+    const std::string arg = std::string("--json=") + value;
+    const char* bad_argv[] = {"prog", arg.c_str()};
+    const Cli bad(2, const_cast<char**>(bad_argv));
+    try {
+      bad.get_bool("json", false);
+      ADD_FAILURE() << "accepted " << arg;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("--json"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + std::string(value) + "'"), std::string::npos) << message;
+      EXPECT_EQ(message.find("cli.cpp"), std::string::npos) << message;
+    }
+  }
+}
+
 TEST(Json, NumberRoundTripsAndHandlesSpecials) {
   EXPECT_EQ(json_number(0.0), "0");
   EXPECT_EQ(json_number(1e9), "1e+09");
